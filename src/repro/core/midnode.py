@@ -382,8 +382,6 @@ class Midnode(Node):
 
     @staticmethod
     def _subtract(total: ByteRange, covered: list[ByteRange]) -> list[ByteRange]:
-        from repro.common.ranges import RangeSet
-
         remaining = RangeSet([total])
         for rng in covered:
             remaining.remove(rng)

@@ -82,10 +82,12 @@ class Producer(Node):
             suppressor.record(pkt.range)
         origin = pkt.origin_ts if pkt.retransmitted else now
         if not pkt.retransmitted:
-            self._origins.setdefault(
-                flow_id,
-                BlockCache(64 << 20, self.config.cache_block_bytes),
-            ).store(flow_id, pkt.range, now)
+            cache = self._origins.get(flow_id)
+            if cache is None:
+                cache = self._origins[flow_id] = BlockCache(
+                    64 << 20, self.config.cache_block_bytes
+                )
+            cache.store(flow_id, pkt.range, now)
         out = DataPacket(
             flow_id,
             pkt.range,
@@ -143,12 +145,16 @@ class Producer(Node):
         sender = self._sender_for(flow)
         sender.set_rate(packet.send_rate_bytes_s)
         reply_link = self._reply_link(link)
-        served = self._served.setdefault(flow, RangeSet())
+        served = self._served.get(flow)
+        if served is None:
+            served = self._served[flow] = RangeSet()
         rng = self._clip_to_content(packet.range)
         if rng is None:
             packet.release()
             return
-        queued = self._queued.setdefault(flow, RangeSet())
+        queued = self._queued.get(flow)
+        if queued is None:
+            queued = self._queued[flow] = RangeSet()
         suppressor = self._suppressors.get(flow)
         if suppressor is None:
             suppressor = self._suppressors[flow] = ResendSuppressor(

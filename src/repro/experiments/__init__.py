@@ -3,91 +3,65 @@
 Every module exposes ``run(scale=1.0, seed=0) -> ExperimentResult``; run a
 module directly (``python -m repro.experiments.fig12_plr_throughput``) to
 print its table.  ``ALL_EXPERIMENTS`` maps experiment ids to their run
-callables for programmatic sweeps.
+callables for programmatic sweeps.  It imports an experiment's module on
+first lookup, so a process loads only the experiments it runs.
 """
 
-from repro.experiments import (
-    ablation_parameters,
-    constellation_study,
-    ablation_vph,
-    ccbench,
-    chaos_suite,
-    churn_study,
-    content_study,
-    fig01_bandwidth,
-    fig02_plr_hops,
-    fig03_owd_model,
-    fig04_split_tradeoff,
-    fig05_fluctuation,
-    fig10_retx_owd,
-    fig11_retx_traffic,
-    fig12_plr_throughput,
-    fig13_link_switching,
-    fig14_fluctuation_tradeoff,
-    fig15_fairness,
-    fig16_starlink_no_isl,
-    fig17_starlink_isl,
-    fig18_city_pairs,
-    fig19_cpu_overhead,
-    gateway_study,
-    multicast_study,
-    related_snoop,
-    table2_ablation,
-    workload,
-    workload_sharded,
-    workload_sharded_xl,
-)
-from repro.experiments.common import (
-    ExperimentResult,
-    FlowMetrics,
-    PathSpec,
-    build_path,
-    run_leotp_chain,
-    run_tcp_chain,
-    scaled_duration,
-)
-from repro.experiments.runner import RunSpec
+import importlib
+from collections.abc import Mapping
 
-ALL_EXPERIMENTS = {
-    "fig01": fig01_bandwidth.run,
-    "fig02": fig02_plr_hops.run,
-    "fig03": fig03_owd_model.run,
-    "fig04": fig04_split_tradeoff.run,
-    "fig05": fig05_fluctuation.run,
-    "fig10": fig10_retx_owd.run,
-    "fig11": fig11_retx_traffic.run,
-    "fig12": fig12_plr_throughput.run,
-    "fig13": fig13_link_switching.run,
-    "fig14": fig14_fluctuation_tradeoff.run,
-    "fig15": fig15_fairness.run,
-    "fig16": fig16_starlink_no_isl.run,
-    "fig17": fig17_starlink_isl.run,
-    "fig18": fig18_city_pairs.run,
-    "fig19": fig19_cpu_overhead.run,
-    "table2": table2_ablation.run,
-    "ablation_vph": ablation_vph.run,
-    "ablation_params": ablation_parameters.run,
-    "ccbench": ccbench.run,
-    "chaos": chaos_suite.run,
-    "churn": churn_study.run,
-    "content_study": content_study.run,
-    "gateway": gateway_study.run,
-    "multicast": multicast_study.run,
-    "related_snoop": related_snoop.run,
-    "constellation_study": constellation_study.run,
-    "workload": workload.run,
-    "workload_sharded": workload_sharded.run,
-    "workload_sharded_xl": workload_sharded_xl.run,
+#: Experiment id -> submodule of this package, in the CLI's default order.
+_MODULES = {
+    "fig01": "fig01_bandwidth",
+    "fig02": "fig02_plr_hops",
+    "fig03": "fig03_owd_model",
+    "fig04": "fig04_split_tradeoff",
+    "fig05": "fig05_fluctuation",
+    "fig10": "fig10_retx_owd",
+    "fig11": "fig11_retx_traffic",
+    "fig12": "fig12_plr_throughput",
+    "fig13": "fig13_link_switching",
+    "fig14": "fig14_fluctuation_tradeoff",
+    "fig15": "fig15_fairness",
+    "fig16": "fig16_starlink_no_isl",
+    "fig17": "fig17_starlink_isl",
+    "fig18": "fig18_city_pairs",
+    "fig19": "fig19_cpu_overhead",
+    "table2": "table2_ablation",
+    "ablation_vph": "ablation_vph",
+    "ablation_params": "ablation_parameters",
+    "ccbench": "ccbench",
+    "chaos": "chaos_suite",
+    "churn": "churn_study",
+    "content_study": "content_study",
+    "gateway": "gateway_study",
+    "multicast": "multicast_study",
+    "related_snoop": "related_snoop",
+    "constellation_study": "constellation_study",
+    "workload": "workload",
+    "workload_sharded": "workload_sharded",
+    "workload_sharded_xl": "workload_sharded_xl",
 }
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "ExperimentResult",
-    "FlowMetrics",
-    "PathSpec",
-    "RunSpec",
-    "build_path",
-    "run_leotp_chain",
-    "run_tcp_chain",
-    "scaled_duration",
-]
+
+class _Registry(Mapping):
+    """Read-only id -> ``run`` mapping that imports each module on lookup."""
+
+    def __getitem__(self, name):
+        module = importlib.import_module(f"{__name__}.{_MODULES[name]}")
+        return module.run
+
+    def __iter__(self):
+        return iter(_MODULES)
+
+    def __len__(self):
+        return len(_MODULES)
+
+    def __contains__(self, name):
+        # Mapping's default goes through __getitem__, importing the module.
+        return name in _MODULES
+
+
+ALL_EXPERIMENTS = _Registry()
+
+__all__ = ["ALL_EXPERIMENTS"]

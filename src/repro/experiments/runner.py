@@ -97,8 +97,9 @@ def _sampler_interval_for(run, spec: RunSpec) -> float:
 def run_one(name: str, spec: RunSpec = RunSpec()) -> RunOutcome:
     """Run one experiment id; the unit of work for serial and pool runs.
 
-    Imports lazily so pool workers (``spawn`` start method included) pay
-    the import cost once per process, not per task.
+    ``ALL_EXPERIMENTS`` imports an experiment's module on its first
+    lookup, so a process (a pool worker under any start method included)
+    loads only the experiments it runs, each once per process.
 
     With ``spec.observe``, the global tracer and metrics registry are
     reset and enabled around this experiment alone, and the drained

@@ -1,7 +1,13 @@
 """Tests for the experiment harness (utilities plus cheap smoke runs)."""
 
+import importlib
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import (
     ExperimentResult,
@@ -94,17 +100,79 @@ class TestRunners:
         assert path.consumer.bytes_received > 0
 
 
+#: Experiment id -> module, in the CLI's default order.
+REGISTRY = [
+    ("fig01", "fig01_bandwidth"),
+    ("fig02", "fig02_plr_hops"),
+    ("fig03", "fig03_owd_model"),
+    ("fig04", "fig04_split_tradeoff"),
+    ("fig05", "fig05_fluctuation"),
+    ("fig10", "fig10_retx_owd"),
+    ("fig11", "fig11_retx_traffic"),
+    ("fig12", "fig12_plr_throughput"),
+    ("fig13", "fig13_link_switching"),
+    ("fig14", "fig14_fluctuation_tradeoff"),
+    ("fig15", "fig15_fairness"),
+    ("fig16", "fig16_starlink_no_isl"),
+    ("fig17", "fig17_starlink_isl"),
+    ("fig18", "fig18_city_pairs"),
+    ("fig19", "fig19_cpu_overhead"),
+    ("table2", "table2_ablation"),
+    ("ablation_vph", "ablation_vph"),
+    ("ablation_params", "ablation_parameters"),
+    ("ccbench", "ccbench"),
+    ("chaos", "chaos_suite"),
+    ("churn", "churn_study"),
+    ("content_study", "content_study"),
+    ("gateway", "gateway_study"),
+    ("multicast", "multicast_study"),
+    ("related_snoop", "related_snoop"),
+    ("constellation_study", "constellation_study"),
+    ("workload", "workload"),
+    ("workload_sharded", "workload_sharded"),
+    ("workload_sharded_xl", "workload_sharded_xl"),
+]
+
+
 class TestRegistry:
     def test_all_experiments_registered(self):
-        expected = {
-            "fig01", "fig02", "fig03", "fig04", "fig05", "fig10", "fig11",
-            "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-            "fig19", "table2", "ablation_vph", "ablation_params",
-            "related_snoop", "constellation_study", "ccbench", "chaos",
-            "churn", "content_study", "gateway", "multicast", "workload",
-            "workload_sharded", "workload_sharded_xl",
+        assert list(ALL_EXPERIMENTS) == [name for name, _ in REGISTRY]
+        assert len(ALL_EXPERIMENTS) == len(REGISTRY)
+
+    @pytest.mark.parametrize("name,module", REGISTRY)
+    def test_lookup_returns_module_run(self, name, module):
+        assert name in ALL_EXPERIMENTS
+        expected = importlib.import_module(f"repro.experiments.{module}").run
+        assert ALL_EXPERIMENTS[name] is expected
+
+    def test_unknown_id(self):
+        assert "nosuch" not in ALL_EXPERIMENTS
+        with pytest.raises(KeyError):
+            ALL_EXPERIMENTS["nosuch"]
+
+    def test_importing_one_experiment_loads_no_others(self):
+        # A fresh interpreter, so modules this test session already
+        # imported cannot hide an eager import.
+        code = (
+            "import sys, repro.experiments.common, "
+            "repro.experiments.content_study, repro.shard\n"
+            "print(' '.join(sys.modules))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        loaded = set(subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split())
+        assert "networkx" not in loaded
+        others = {
+            f"repro.experiments.{module}" for _, module in REGISTRY
+            if module != "content_study"
         }
-        assert set(ALL_EXPERIMENTS) == expected
+        assert not others & loaded
 
     def test_chaos_smoke(self):
         # Shape only: the acceptance-level assertions (invariants green,
