@@ -16,7 +16,7 @@ packet — is O(1) instead of O(intervals).
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
 
@@ -143,37 +143,75 @@ class RangeSet:
 
     # ------------------------------------------------------------------
 
-    def add(self, r: ByteRange) -> None:
-        """Insert a range, merging with any overlapping/adjacent intervals."""
+    def add(self, r: ByteRange) -> int:
+        """Insert a range, merging with any overlapping/adjacent intervals.
+
+        Returns the bytes of ``r`` that were not yet in the set (the
+        growth of ``len(self)``), so callers counting first arrivals need
+        no separate :meth:`missing_within` pass.
+        """
         start, end = r.start, r.end
         starts, ends = self._starts, self._ends
         # Find all intervals touching [start, end] and merge them.
-        lo = bisect.bisect_left(ends, start)  # first interval ending >= start
-        hi = bisect.bisect_right(starts, end)  # last interval starting <= end
-        if lo < hi:
-            absorbed = 0
-            for i in range(lo, hi):
-                absorbed += ends[i] - starts[i]
-            if starts[lo] < start:
-                start = starts[lo]
-            if ends[hi - 1] > end:
-                end = ends[hi - 1]
-            self._total += (end - start) - absorbed
+        lo = bisect_left(ends, start)  # first interval ending >= start
+        hi = bisect_right(starts, end)  # last interval starting <= end
+        if lo == hi:
+            # Touches nothing: a new interval (at the end, in order).
+            added = end - start
+            if lo == len(starts):
+                starts.append(start)
+                ends.append(end)
+            else:
+                starts.insert(lo, start)
+                ends.insert(lo, end)
+            self._total += added
+            return added
+        absorbed = 0
+        for i in range(lo, hi):
+            absorbed += ends[i] - starts[i]
+        if starts[lo] < start:
+            start = starts[lo]
+        if ends[hi - 1] > end:
+            end = ends[hi - 1]
+        added = (end - start) - absorbed
+        self._total += added
+        if hi == lo + 1:
+            # Merges into one interval (extends the tail, in order).
+            starts[lo] = start
+            ends[lo] = end
         else:
-            self._total += end - start
-        starts[lo:hi] = [start]
-        ends[lo:hi] = [end]
+            starts[lo:hi] = [start]
+            ends[lo:hi] = [end]
+        return added
 
     def remove(self, r: ByteRange) -> None:
         """Delete the intersection of ``r`` from the set."""
         start, end = r.start, r.end
         starts, ends = self._starts, self._ends
-        lo = bisect.bisect_right(ends, start)
+        lo = bisect_right(ends, start)
+        n = len(starts)
+        if lo == n or starts[lo] >= end:
+            return  # nothing of ``r`` is in the set
+        if lo + 1 == n or starts[lo + 1] >= end:
+            # Touches one interval (a sent range leaving a send queue).
+            s, e = starts[lo], ends[lo]
+            self._total -= (e if e < end else end) - (s if s > start else start)
+            if s < start:
+                ends[lo] = start
+                if e > end:
+                    starts.insert(lo + 1, end)
+                    ends.insert(lo + 1, e)
+            elif e > end:
+                starts[lo] = end
+            else:
+                del starts[lo]
+                del ends[lo]
+            return
         new_starts: list[int] = []
         new_ends: list[int] = []
         removed = 0
         i = lo
-        while i < len(starts) and starts[i] < end:
+        while i < n and starts[i] < end:
             s, e = starts[i], ends[i]
             removed += (e if e < end else end) - (s if s > start else start)
             if s < start:
@@ -189,12 +227,12 @@ class RangeSet:
 
     def contains(self, r: ByteRange) -> bool:
         """True if every byte of ``r`` is in the set."""
-        idx = bisect.bisect_right(self._starts, r.start) - 1
+        idx = bisect_right(self._starts, r.start) - 1
         return idx >= 0 and self._ends[idx] >= r.end
 
     def overlaps(self, r: ByteRange) -> bool:
         """True if any byte of ``r`` is in the set."""
-        idx = bisect.bisect_right(self._starts, r.start) - 1
+        idx = bisect_right(self._starts, r.start) - 1
         if idx >= 0 and self._ends[idx] > r.start:
             return True
         idx += 1
@@ -206,7 +244,7 @@ class RangeSet:
         starts, ends = self._starts, self._ends
         pos = r.start
         r_end = r.end
-        idx = bisect.bisect_right(starts, pos) - 1
+        idx = bisect_right(starts, pos) - 1
         if idx >= 0 and ends[idx] > pos:
             pos = min(ends[idx], r_end)
         idx += 1
@@ -223,7 +261,7 @@ class RangeSet:
 
     def first_missing_from(self, offset: int) -> int:
         """Smallest byte >= offset not in the set (reassembly frontier)."""
-        idx = bisect.bisect_right(self._starts, offset) - 1
+        idx = bisect_right(self._starts, offset) - 1
         if idx >= 0 and self._ends[idx] > offset:
             return self._ends[idx]
         return offset

@@ -18,7 +18,7 @@ reading its own retransmitted bytes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.ranges import ByteRange, RangeSet
@@ -29,23 +29,23 @@ from repro.common.ranges import ByteRange, RangeSet
 CACHE_EVICTION_POLICIES = ("lru", "lfu")
 
 
-@dataclass
 class _Block:
     """Coverage and origin timestamps for one 4096-byte block."""
 
-    coverage: RangeSet = field(default_factory=RangeSet)
-    # (range, origin_ts, writer flow id) in insertion order; lookups
-    # intersect with these.  ``writer`` is None for unattributed stores
-    # (single-flow caches, compacted history).
-    origins: list[tuple[ByteRange, float, Optional[str]]] = field(
-        default_factory=list
-    )
-    # Access bookkeeping for replacement: ``tick`` is the last-touch
-    # counter (recency), ``freq`` the touch count, ``seq`` the creation
-    # counter (deterministic LFU tie-break).
-    tick: int = 0
-    freq: int = 0
-    seq: int = 0
+    __slots__ = ("coverage", "origins", "tick", "freq", "seq")
+
+    def __init__(self) -> None:
+        self.coverage = RangeSet()
+        # (range, origin_ts, writer flow id) in insertion order; lookups
+        # intersect with these.  ``writer`` is None for unattributed
+        # stores (single-flow caches, compacted history).
+        self.origins: list[tuple[ByteRange, float, Optional[str]]] = []
+        # Access bookkeeping for replacement: ``tick`` is the last-touch
+        # counter (recency), ``freq`` the touch count, ``seq`` the
+        # creation counter (deterministic LFU tie-break).
+        self.tick = 0
+        self.freq = 0
+        self.seq = 0
 
     def stored_bytes(self) -> int:
         return len(self.coverage)
@@ -134,28 +134,39 @@ class BlockCache:
         that fetched them so later lookups can count cross-flow hits.
         """
         self.stats.insertions += 1
-        for bidx in self._block_span(rng):
+        bb = self.block_bytes
+        start, end = rng.start, rng.end
+        first = start // bb
+        last = (end - 1) // bb
+        blocks = self._blocks
+        added = 0
+        for bidx in range(first, last + 1):
             bkey = (key, bidx)
-            block = self._blocks.get(bkey)
+            block = blocks.get(bkey)
             if block is None:
-                block = _Block()
-                self._blocks[bkey] = block
+                block = blocks[bkey] = _Block()
                 self._touch(block)
                 block.seq = block.tick
             else:
-                self._blocks.move_to_end(bkey)
+                blocks.move_to_end(bkey)
                 self._touch(block)
-            bstart = bidx * self.block_bytes
-            part = rng.intersection(ByteRange.unchecked(bstart, bstart + self.block_bytes))
-            if part is None:
-                continue
-            before = block.stored_bytes()
-            block.coverage.add(part)
-            block.origins.append((part, origin_ts, writer))
-            if len(block.origins) > self.MAX_ORIGINS_PER_BLOCK:
+            if first == last:
+                part = rng  # the usual case: the range lies in one block
+            else:
+                bstart = bidx * bb
+                bend = bstart + bb
+                part = ByteRange.unchecked(
+                    start if start > bstart else bstart,
+                    end if end < bend else bend,
+                )
+            added += block.coverage.add(part)
+            origins = block.origins
+            origins.append((part, origin_ts, writer))
+            if len(origins) > self.MAX_ORIGINS_PER_BLOCK:
                 self._compact(block)
-            self._stored_bytes += block.stored_bytes() - before
-        self._evict_if_needed()
+        self._stored_bytes += added
+        if self._stored_bytes > self.capacity_bytes:
+            self._evict_if_needed()
 
     def lookup(
         self,
@@ -171,18 +182,25 @@ class BlockCache:
         given, served bytes whose recorded writer is a *different* flow
         are counted as cross-flow hits in :attr:`stats`.
         """
-        self.stats.lookups += 1
-        self.stats.lookup_bytes += rng.length
+        stats = self.stats
+        stats.lookups += 1
+        stats.lookup_bytes += rng.end - rng.start
         found: list[tuple[ByteRange, float]] = []
         cross_bytes = 0
-        remaining = RangeSet([rng])
-        for bidx in self._block_span(rng):
+        # Built on the first cached block only: nearly every lookup on a
+        # single-flow path is a full miss.
+        remaining: Optional[RangeSet] = None
+        blocks = self._blocks
+        bb = self.block_bytes
+        for bidx in range(rng.start // bb, (rng.end - 1) // bb + 1):
             bkey = (key, bidx)
-            block = self._blocks.get(bkey)
+            block = blocks.get(bkey)
             if block is None:
                 continue
-            self._blocks.move_to_end(bkey)
+            blocks.move_to_end(bkey)
             self._touch(block)
+            if remaining is None:
+                remaining = RangeSet([rng])
             # Scan this block's stored pieces newest-first so re-stored
             # (retransmitted) data wins, then clip against what is still
             # needed to keep results disjoint.
@@ -192,9 +210,12 @@ class BlockCache:
                 part = stored_rng.intersection(rng)
                 if part is None or not remaining.overlaps(part):
                     continue
-                covered = RangeSet([part])
-                for hole in remaining.missing_within(part):
-                    covered.remove(hole)
+                if remaining.contains(part):
+                    covered = (part,)  # the usual hit: nothing clipped
+                else:
+                    covered = RangeSet([part])
+                    for hole in remaining.missing_within(part):
+                        covered.remove(hole)
                 for sub in covered:
                     found.append((sub, origin_ts))
                     remaining.remove(sub)
@@ -207,14 +228,14 @@ class BlockCache:
         if not found:
             return []
         total = sum(r.length for r, _ in found)
-        self.stats.hit_bytes += total
+        stats.hit_bytes += total
         if cross_bytes:
-            self.stats.cross_hits += 1
-            self.stats.cross_hit_bytes += cross_bytes
+            stats.cross_hits += 1
+            stats.cross_hit_bytes += cross_bytes
         if total >= rng.length:
-            self.stats.hits += 1
+            stats.hits += 1
         else:
-            self.stats.partial_hits += 1
+            stats.partial_hits += 1
         return found
 
     def contains(self, key: str, rng: ByteRange) -> bool:

@@ -63,25 +63,27 @@ class TokenBucket:
         self._replenish()
         self._rate = rate_bytes_s
 
-    def _replenish(self) -> None:
+    def _replenish(self) -> float:
+        """Bring the token level up to now; returns it."""
         now = self.sim.now
-        self._tokens = min(
-            self.burst_bytes, self._tokens + (now - self._last_update) * self._rate
-        )
+        tokens = self._tokens + (now - self._last_update) * self._rate
+        if tokens > self.burst_bytes:
+            tokens = self.burst_bytes
+        self._tokens = tokens
         self._last_update = now
+        return tokens
 
     def try_consume(self, nbytes: int) -> bool:
-        self._replenish()
-        if self._tokens >= nbytes:
-            self._tokens -= nbytes
+        tokens = self._replenish()
+        if tokens >= nbytes:
+            self._tokens = tokens - nbytes
             return True
         return False
 
     def delay_until_available(self, nbytes: int) -> float:
         """Seconds until ``nbytes`` tokens will have accumulated (0 if now)."""
-        self._replenish()
-        deficit = nbytes - self._tokens
-        return max(deficit / self._rate, 0.0)
+        deficit = nbytes - self._replenish()
+        return deficit / self._rate if deficit > 0 else 0.0
 
 
 class HopRateController:

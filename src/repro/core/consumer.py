@@ -142,9 +142,10 @@ class Consumer(Node):
 
         The controller's delivery-gated growth bounds this at roughly
         twice the path's delivery rate even when the bottleneck is remote
-        and the last hop never shows a queue.
+        and the last hop never shows a queue.  The controller already
+        floors it at ``config.min_rate_bytes_s``.
         """
-        return max(self.cc.sending_rate_bytes_s(), self.config.min_rate_bytes_s)
+        return self.cc.sending_rate_bytes_s()
 
     def _outstanding_cap(self) -> float:
         # Interests in flight cover the *whole path* (request -> Producer ->
@@ -297,10 +298,11 @@ class Consumer(Node):
         actions = self.shr.on_packet(rng)
         for hole in actions.request:
             self._request_hole(hole)
-        # Delivery accounting (first arrival of each byte only):
-        # missing_within() yields exactly the not-yet-received sub-ranges.
-        new_bytes = sum(r.length for r in self._received.missing_within(rng))
-        self.duplicate_bytes_received += rng.length - new_bytes
+        # Delivery accounting (first arrival of each byte only): add()
+        # returns exactly the bytes of ``rng`` not yet received.
+        received = self._received
+        new_bytes = received.add(rng)
+        self.duplicate_bytes_received += rng.end - rng.start - new_bytes
         if TRACER.enabled:
             TRACER.emit(
                 now, "data_recv", self.name, flow=self.flow_id,
@@ -315,19 +317,19 @@ class Consumer(Node):
                     now - packet.origin_ts,
                     retransmitted=packet.retransmitted,
                 )
-        self._received.add(rng)
-        if self.deliver is not None:
-            new_next = self._received.first_missing_from(self._delivered_next)
-            if new_next > self._delivered_next:
-                delta = new_next - self._delivered_next
-                self._delivered_next = new_next
-                self.deliver(delta, packet.origin_ts)
+        # In-order frontier: every byte below ``_delivered_next`` is
+        # already received, so this is also the frontier from byte 0.
+        frontier = received.first_missing_from(self._delivered_next)
+        if self.deliver is not None and frontier > self._delivered_next:
+            delta = frontier - self._delivered_next
+            self._delivered_next = frontier
+            self.deliver(delta, packet.origin_ts)
         self._satisfy(rng)
         self._fill_window()
         if (
             self.total_bytes is not None
             and self.completed_at is None
-            and self._received.contains(ByteRange(0, self.total_bytes))
+            and frontier >= self.total_bytes
         ):
             self.completed_at = now
             if TRACER.enabled:

@@ -159,26 +159,28 @@ class PacedSender:
     # ------------------------------------------------------------------
 
     def _drain(self) -> None:
-        while self._queue:
-            pkt = self._queue[0]
-            if self.paced and not self.bucket.try_consume(pkt.size_bytes):
-                self._schedule_drain(self.bucket.delay_until_available(pkt.size_bytes))
+        queue = self._queue
+        bucket = self.bucket if self.paced else None
+        while queue:
+            pkt = queue[0]
+            size = pkt.size_bytes
+            if bucket is not None and not bucket.try_consume(size):
+                # One replenish per decision: a pending tick already
+                # covers this packet, so no delay is computed then.
+                if not self._drain_scheduled:
+                    self._drain_scheduled = True
+                    delay = bucket.delay_until_available(size)
+                    self.sim.schedule_call(
+                        delay if delay > 1e-6 else 1e-6,
+                        self._drain_tick, self._drain_gen,
+                    )
                 return
-            self._queue.popleft()
-            self._buffered_bytes -= pkt.size_bytes
+            queue.popleft()
+            self._buffered_bytes -= size
             out = self._stamp(pkt)
             self.packets_sent += 1
             self.bytes_sent += out.size_bytes
-            assert self._link is not None
             self._link.send(out)
-
-    def _schedule_drain(self, delay: float) -> None:
-        if self._drain_scheduled:
-            return
-        self._drain_scheduled = True
-        self.sim.schedule_call(
-            max(delay, 1e-6), self._drain_tick, self._drain_gen
-        )
 
     def _drain_tick(self, gen: int) -> None:
         if gen != self._drain_gen:

@@ -89,13 +89,8 @@ class Producer(Node):
                 )
             cache.store(flow_id, pkt.range, now)
         out = DataPacket(
-            flow_id,
-            pkt.range,
-            timestamp=now,
-            is_header=False,
-            origin_ts=origin,
-            echo_interest_owd=self._interest_owd.get(flow_id, 0.0),
-            retransmitted=pkt.retransmitted,
+            flow_id, pkt.range, now, False, origin,
+            self._interest_owd.get(flow_id, 0.0), pkt.retransmitted,
         )
         self.wire_bytes_sent += out.size_bytes
         self.data_packets_sent += 1
@@ -178,8 +173,7 @@ class Producer(Node):
             else:
                 served.add(chunk)
             proto = DataPacket(
-                flow, chunk, timestamp=now,
-                origin_ts=origin_ts, retransmitted=retransmitted,
+                flow, chunk, now, False, origin_ts, 0.0, retransmitted,
             )
             # Mark as queued *before* enqueueing: the sender may drain (and
             # stamp/unmark) synchronously when tokens are available.
@@ -195,7 +189,9 @@ class Producer(Node):
             return rng
         if rng.start >= self.content_bytes:
             return None
-        return ByteRange(rng.start, min(rng.end, self.content_bytes))
+        if rng.end <= self.content_bytes:
+            return rng
+        return ByteRange.unchecked(rng.start, self.content_bytes)
 
     def _reply_link(self, in_link: Link):
         """The reverse link of the duplex this Interest arrived on."""

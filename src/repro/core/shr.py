@@ -36,6 +36,11 @@ class ShrActions:
     request: list[ByteRange] = field(default_factory=list)
 
 
+#: What an in-order arrival with no open holes asks of the caller:
+#: nothing.  Shared by every such arrival; callers only read actions.
+_NO_ACTIONS = ShrActions()
+
+
 class SeqHoleDetector:
     """Algorithm 1 (loss detection in SHR), over byte ranges."""
 
@@ -61,14 +66,18 @@ class SeqHoleDetector:
 
     def on_packet(self, rng: ByteRange) -> ShrActions:
         """Feed one received packet (Data or VPH) through Algorithm 1."""
-        actions = ShrActions()
         rs, re = rng.start, rng.end
+        if rs == self.last_byte and not self._holes and self._primed:
+            # In order with no hole open: only lastByte moves.
+            self.last_byte = re
+            return _NO_ACTIONS
+        actions = ShrActions()
         if not self._primed:
             self._primed = True
             self.last_byte = rs
         if rs > self.last_byte:
             # Case (2): a gap opened in front of this packet.
-            hole = ByteRange(self.last_byte, rs)
+            hole = ByteRange.unchecked(self.last_byte, rs)
             actions.announce.append(hole)
             self.holes_detected += 1
             if len(self._holes) < self.max_holes:
@@ -99,9 +108,11 @@ class SeqHoleDetector:
                 continue
             # Partially filled holes shrink to their uncovered pieces.
             if hole.rng.start < rng.start:
-                remaining.append(
-                    _Hole(ByteRange(hole.rng.start, rng.start), hole.count)
-                )
+                remaining.append(_Hole(
+                    ByteRange.unchecked(hole.rng.start, rng.start), hole.count
+                ))
             if rng.end < hole.rng.end:
-                remaining.append(_Hole(ByteRange(rng.end, hole.rng.end), hole.count))
+                remaining.append(_Hole(
+                    ByteRange.unchecked(rng.end, hole.rng.end), hole.count
+                ))
         self._holes = remaining

@@ -534,12 +534,15 @@ class TcpReceiver(Node):
                 )
             self._received.add(rng)
             self._pending[packet.seq] = (packet.end_seq, packet.first_sent_at)
-            self._advance_delivery()
+            self._advance_delivery(packet.seq)
         self._send_ack(packet)
 
-    def _advance_delivery(self) -> None:
-        new_next = self._received.first_missing_from(self.rcv_next)
-        if new_next > self.rcv_next:
+    def _advance_delivery(self, seq: int) -> None:
+        """Deliver the new in-order prefix after a segment starting at
+        ``seq`` was added to ``_pending``."""
+        old_next = self.rcv_next
+        new_next = self._received.first_missing_from(old_next)
+        if new_next > old_next:
             delivered = new_next - self.rcv_next
             self.bytes_delivered += delivered
             if self.deliver is not None:
@@ -557,9 +560,13 @@ class TcpReceiver(Node):
                     self.deliver(end - pos, ts)
                     pos = end
             self.rcv_next = new_next
+        elif seq >= old_next:
+            # Stalled frontier, segment above it: every chunk below the
+            # frontier was swept before, so there is nothing to collect.
+            return
         # Garbage-collect stale pending chunks below the frontier.
-        for seq in [s for s in self._pending if s < self.rcv_next]:
-            del self._pending[seq]
+        for stale in [s for s in self._pending if s < new_next]:
+            del self._pending[stale]
 
     def _sack_blocks(self) -> list[tuple[int, int]]:
         blocks = []
